@@ -1,7 +1,8 @@
 """Machines and service instances.
 
 A :class:`Machine` models one physical server: a hardware platform, a
-current (RAPL-cappable) frequency, a shared NIC in each direction, and a
+current (RAPL-cappable) frequency, a shared NIC in each direction (a
+Lindley FIFO link, :class:`~repro.sim.resources.FifoLink`), and a
 possible "slow server" degradation factor (Fig. 22c).  A
 :class:`ServiceInstance` is one container of a service pinned to a
 machine with a core allocation; its CPU is a processor-sharing server
@@ -27,7 +28,7 @@ from ..arch.platform import XEON, Platform
 from ..services.definition import ServiceDefinition
 from ..sim.engine import Environment, Event
 from ..sim.ps import ProcessorSharingServer
-from ..sim.resources import Resource
+from ..sim.resources import FifoLink, Resource
 
 __all__ = ["Machine", "ServiceInstance", "NIC_10G_KB_PER_S"]
 
@@ -51,8 +52,8 @@ class Machine:
         self.freq = FrequencyModel(platform.nominal_freq_ghz,
                                    platform.min_freq_ghz)
         self.nic_bandwidth_kb_s = nic_bandwidth_kb_s
-        self.nic_tx = Resource(env, capacity=1)
-        self.nic_rx = Resource(env, capacity=1)
+        self.nic_tx = FifoLink(env)
+        self.nic_rx = FifoLink(env)
         self.slow_factor = 1.0
         #: Crash state (chaos injection): a down machine fails health
         #: probes and is skipped by placement.  The flag is pure

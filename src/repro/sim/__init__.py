@@ -17,7 +17,7 @@ from .engine import (
     Timeout,
 )
 from .ps import ProcessorSharingServer
-from .resources import Container, Request, Resource, Store
+from .resources import Container, FifoLink, Request, Resource, Store
 from .rng import RandomStreams, ZipfSampler
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "Container",
     "Environment",
     "Event",
+    "FifoLink",
     "Interrupt",
     "Process",
     "ProcessorSharingServer",

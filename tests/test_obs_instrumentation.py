@@ -70,6 +70,46 @@ def test_nic_queue_and_net_share_metrics_exist():
     assert 0.0 <= share <= 1.0
 
 
+def test_nic_queue_depth_follows_a_burst():
+    """A burst of large payloads queues on the NICs: the gauge counts
+    the messages whose departure is still ahead while the NIC
+    serializes them, and reads 0 once they are all out."""
+    from repro.arch import XEON
+    from repro.cluster import Cluster
+    from repro.core import Deployment
+    from repro.obs import instrument_deployment
+    from repro.sim import Environment
+
+    env = Environment()
+    app = build_app("banking")
+    dep = Deployment(env, app, Cluster.homogeneous(env, XEON, 2), seed=1)
+    reg = MetricsRegistry()
+    instrument_deployment(reg, dep)
+    inst = dep.instances_of(dep.service_names()[0])[0]
+    machine = inst.machine.machine_id
+    # 2,500 KB takes 2 ms to serialize at 10 GbE; six of them arrive
+    # from the client within ~0.1 ms and queue on the receiving NIC,
+    # and six replies queue on the sending NIC behind the kernel's
+    # send processing.
+    for _ in range(6):
+        env.process(dep.fabric.transfer(None, inst, 2500.0, dep.costs))
+        env.process(dep.fabric.transfer(inst, None, 2500.0, dep.costs))
+
+    def scraper():
+        for t in (0.001, 0.005, 0.1):
+            yield env.timeout(t - env.now)
+            reg.scrape(env.now)
+
+    env.process(scraper())
+    env.run()
+    rx = [v for _, v in reg.series("repro_nic_queue_depth",
+                                   machine=machine, direction="rx")]
+    tx = [v for _, v in reg.series("repro_nic_queue_depth",
+                                   machine=machine, direction="tx")]
+    assert rx == [6, 4, 0]
+    assert max(tx) > 0 and tx[-1] == 0
+
+
 def test_resilience_counters_mirrored():
     from repro.resilience import ResiliencePolicy
     policy = ResiliencePolicy(rpc_timeout=0.02, max_retries=1,

@@ -273,3 +273,25 @@ def test_peek_reports_next_event_time():
     assert env.peek() == 7.0
     env.run()
     assert env.peek() == float("inf")
+
+
+def test_call_soon_keeps_succeed_order():
+    """call_soon runs where an event succeed()-ed at the same moment
+    would: after heap entries already due now, before later ones."""
+    env = Environment()
+    order = []
+
+    def note(label):
+        return lambda *_: order.append((label, env.now))
+
+    def proc():
+        yield env.timeout(1.0)
+        env.timeout(0.0).callbacks.append(note("due before"))
+        env.call_soon(note("soon"))
+        env.timeout(0.0).callbacks.append(note("due after"))
+        env.call_soon(note("soon 2"))
+
+    env.process(proc())
+    env.run()
+    assert order == [("due before", 1.0), ("soon", 1.0),
+                     ("due after", 1.0), ("soon 2", 1.0)]

@@ -1,8 +1,11 @@
-"""Unit tests for Resource, Container, and Store primitives."""
+"""Unit tests for Resource, FifoLink, Container, and Store primitives."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Container, Environment, Resource, SimulationError, Store
+from repro.sim import (Container, Environment, FifoLink, Resource,
+                       SimulationError, Store)
 
 
 def test_resource_grants_up_to_capacity():
@@ -119,6 +122,87 @@ def test_resource_invalid_capacity():
     res = Resource(env, capacity=1)
     with pytest.raises(SimulationError):
         res.resize(0)
+
+
+def _run_nic(arrivals, holds, via_link):
+    """Push messages through one NIC and log every callback in the
+    order it runs: each departure, plus probe timers that land exactly
+    on departure instants (a probe started at a message's arrival with
+    its hold, and one started at a departure with the next message's
+    hold), so any change in same-instant order shows."""
+    env = Environment()
+    nic = FifoLink(env) if via_link else Resource(env, capacity=1)
+    log = []
+
+    def probe(label, delay):
+        env.timeout(delay).callbacks.append(
+            lambda ev: log.append((label, env.now)))
+
+    def message(i):
+        yield env.timeout(arrivals[i])
+        probe(f"arrival-probe {i}", holds[i])
+        if via_link:
+            yield nic.transmit(holds[i])
+        else:
+            with nic.request() as req:
+                yield req
+                yield env.timeout(holds[i])
+        log.append((f"depart {i}", env.now))
+        probe(f"departure-probe {i}", holds[(i + 1) % len(holds)])
+
+    for i in range(len(arrivals)):
+        env.process(message(i))
+    env.run()
+    return log
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    messages=st.lists(
+        st.tuples(
+            # Gap to the previous arrival; zero gaps make simultaneous
+            # arrivals, and gaps below a hold make a queue.
+            st.one_of(st.just(0.0),
+                      st.floats(min_value=0.0, max_value=5e-3),
+                      st.sampled_from([1e-4, 2.5e-4, 1e-3])),
+            st.one_of(st.floats(min_value=0.0, max_value=4000.0),
+                      st.sampled_from([0.5, 1.25, 125.0, 1250.0]))),
+        min_size=1, max_size=30),
+    bandwidth=st.sampled_from([1.25e6, 6e3, 1e5]),
+)
+def test_property_fifo_link_matches_fifo_resource(messages, bandwidth):
+    """The one-event FIFO link departs every message at exactly (==,
+    not approx) the time the grant-then-hold Resource path does, and
+    in the same order relative to every other event at that instant."""
+    arrivals = []
+    t = 0.0
+    for gap, _ in messages:
+        t += gap
+        arrivals.append(t)
+    holds = [size_kb / bandwidth for _, size_kb in messages]
+    assert _run_nic(arrivals, holds, via_link=True) \
+        == _run_nic(arrivals, holds, via_link=False)
+
+
+def test_fifo_link_depth_counts_queued_and_serializing():
+    env = Environment()
+    nic = FifoLink(env)
+    seen = []
+
+    def burst():
+        for _ in range(3):
+            nic.transmit(1.0)
+        seen.append(nic.depth)          # one serializing, two queued
+        yield env.timeout(1.5)
+        seen.append(nic.depth)          # first gone
+        yield env.timeout(2.0)
+        seen.append(nic.depth)          # all departed by t=3
+        yield nic.transmit(0.5)         # idle again: departs now + hold
+        seen.append((env.now, nic.depth))
+
+    env.process(burst())
+    env.run()
+    assert seen == [3, 2, 0, (4.0, 0)]
 
 
 def test_container_get_blocks_until_put():
