@@ -14,13 +14,13 @@ charged twice, on two independent axes:
 * to the popped event's *type* — for :class:`Process` events, to the
   process name with trailing instance ids stripped, so ten thousand
   ``transfer-…`` processes aggregate into one row;
-* to the *subsystem* whose code the event wakes: the module that owns
-  the first waiting callback (for a process resumption, the module
-  defining the process's generator), collapsed to ``repro``-relative
-  dotted form — ``sim.ps``, ``net.fabric``, ``core.deployment``,
-  ``resilience.*``, ``obs.*`` — so the report answers "which layer is
-  the engine spending its wall time in", the simulator-facing version
-  of the paper's cycle attribution.
+* to the *subsystem* whose code the event wakes: for a process
+  resumption, the module defining the waiting process's generator,
+  else the module that owns the first waiting callback, collapsed to
+  ``repro``-relative dotted form — ``sim.ps``, ``net.fabric``,
+  ``core.deployment``, ``resilience.*``, ``obs.*`` — so the report
+  answers "which layer is the engine spending its wall time in", the
+  simulator-facing version of the paper's cycle attribution.
 
 One ``perf_counter`` call plus a per-code-object cache lookup per
 event; when no recorder is installed the hook is ``None`` and the
@@ -139,18 +139,22 @@ class FlightRecorder:
         self.events_observed += 1
 
     def _classify(self, event) -> str:
-        """Subsystem about to run: the module owning the first waiting
-        callback — for a process resumption, the module defining the
-        process's generator (`Process._resume` itself lives in the
-        engine and would attribute everything there)."""
+        """Subsystem about to run: for a process resumption, the module
+        defining the waiting process's generator (`Process._resume`
+        itself lives in the engine and would attribute everything
+        there), even behind bookkeeping callbacks such as a FIFO link's
+        departure; otherwise the module owning the first callback."""
         callbacks = event.callbacks
         if not callbacks:
             return "(unwatched)"
-        callback = callbacks[0]
-        owner = getattr(callback, "__self__", None)
-        generator = getattr(owner, "_generator", None)
-        code = generator.gi_code if generator is not None \
-            else getattr(callback, "__code__", None)
+        for callback in callbacks:
+            owner = getattr(callback, "__self__", None)
+            generator = getattr(owner, "_generator", None)
+            if generator is not None:
+                code = generator.gi_code
+                break
+        else:
+            code = getattr(callbacks[0], "__code__", None)
         if code is None:
             return "(builtin)"
         label = self._code_cache.get(code)

@@ -127,6 +127,21 @@ class TestAttribution:
         # The deployment runtime dominates any real run.
         assert "core.deployment" in labels
 
+    def test_social_network_work_is_charged_to_the_deployment(self):
+        """Process resumptions are charged to the process's own layer,
+        even when a PS completion or a NIC departure wakes them; the
+        engine primitives get only their own bookkeeping."""
+        app = build_app("social_network")
+        recorder = FlightRecorder()
+        simulate(app, qps=80.0, duration=4.0, n_machines=6, seed=11,
+                 setup=lambda dep: recorder.install(dep.env))
+        recorder.uninstall()
+        counts = {key: int(stat[1])
+                  for key, stat in recorder.subsystem_stats.items()}
+        assert max(counts, key=counts.get) == "core.deployment"
+        assert counts["core.deployment"] > 1.5 * counts["sim.ps"]
+        assert "sim.resources" not in counts
+
     def test_to_dict_shape_and_render(self, recorded_run):
         _, recorder = recorded_run
         doc = recorder.to_dict()
