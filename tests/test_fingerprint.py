@@ -1,21 +1,35 @@
 """Cross-version result fingerprints.
 
 ``test_determinism`` checks that two runs of one build agree.  These
-tests pin what three fixed slices produce, so an engine change meant as
-a pure speed-up (fewer events, fewer objects, inlined hot paths) cannot
+tests pin what fixed slices produce, so an engine change meant as a
+pure speed-up (fewer events, fewer objects, inlined hot paths) cannot
 move a single latency, status or issued count without failing here.
-The digests were recorded before the NIC and processor-sharing fast
-paths landed; if one changes, the change reordered simulated events,
-and the fix belongs in the code, not in the digest.
+The first three digests were recorded before the NIC and
+processor-sharing fast paths landed.  The rest pin the run-assembly
+paths (the region harness, utilization monitors and autoscaler, and
+the CLI's provisioning and fault setup) and were recorded before those
+paths were merged.  If one changes, the change reordered simulated
+events or moved an observer, and the fix belongs in the code, not in
+the digest.
 """
 
 import hashlib
+import json
 
 from repro.apps.registry import build_app
-from repro.chaos import run_chaos_scenario
-from repro.core.experiment import simulate
+from repro.arch import XEON
+from repro.chaos import FaultSchedule, run_chaos_scenario
+from repro.cli import main
+from repro.cluster import Cluster, UtilizationAutoscaler
+from repro.core import Deployment
+from repro.core.experiment import run_experiment, simulate
 from repro.core.provisioning import balanced_provision
+from repro.obs import to_prometheus_text
+from repro.region import RegionOutage, run_region_scenario, two_region_topology
 from repro.resilience import ResiliencePolicy
+from repro.services import Application, CallNode, Operation, seq
+from repro.services.datastores import memcached, nginx
+from repro.sim import Environment
 
 
 def fingerprint(result) -> str:
@@ -71,3 +85,94 @@ def test_synth_mesh_chaos_cell_fingerprint():
     assert result.collector.status_counts.get("timeout", 0) > 0
     assert fingerprint(result) == (
         "ef96736e45f4c6f8ff51fbabca31218de67b27cef347c41440af51e093a39db3")
+
+
+def canonical_digest(payload) -> str:
+    """sha256 over a JSON-shaped payload with every float as
+    ``float.hex``, so digests compare exact bits, not printed digits."""
+    def exact(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, dict):
+            return {str(k): exact(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [exact(v) for v in value]
+        return value
+
+    text = json.dumps(exact(payload), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_region_outage_fingerprint():
+    app = build_app("social_network")
+    topology = two_region_topology(machines=3)
+    primary = topology.names[0]
+    run = run_region_scenario(
+        app, FaultSchedule([RegionOutage(primary, start=6.0,
+                                         duration=6.0)]),
+        topology=topology, qps=60.0, duration=20.0, seed=7,
+        replicas=balanced_provision(app, target_qps=90.0),
+        scenario="region-outage")
+    assert run.scorecard.fault_count == 1
+    payload = {
+        "scorecard": run.scorecard.to_dict(),
+        "utilization": {
+            region: {service: series.points
+                     for service, series in result.utilization.items()}
+            for region, result in run.region_results.items()},
+    }
+    assert canonical_digest(payload) == (
+        "430a8cb4eefa778fa81d6fa38c11c6429a288704bc95d16cce8e75a8a7d98e20")
+
+
+def test_autoscaled_experiment_fingerprint():
+    env = Environment()
+    app = Application(
+        name="two-tier",
+        services={"web": nginx("web", work_mean=5e-3),
+                  "cache": memcached("cache")},
+        operations={"get": Operation(name="get", root=CallNode(
+            service="web", groups=seq(CallNode(service="cache"))))},
+        qos_latency=0.05)
+    deployment = Deployment(env, app, Cluster.homogeneous(env, XEON, 4),
+                            cores={"web": 1, "cache": 2}, seed=1)
+    scaler = UtilizationAutoscaler(env, deployment, period=2.0,
+                                   scale_in_threshold=0.3,
+                                   startup_delay=3.0, cooldown=2.0)
+    scaler.start()
+    # Overload the front tier, then let load fall away so the
+    # autoscaler both scales out and scales back in.
+    result = run_experiment(
+        deployment, lambda t: 320.0 if t < 20.0 else 40.0,
+        duration=40.0, seed=2, metrics=True)
+    actions = {event.action for event in scaler.events}
+    assert actions == {"scale_out", "scale_in"}
+    payload = {
+        "utilization": {service: series.points
+                        for service, series in result.utilization.items()},
+        "events": [[e.time, e.service, e.action, e.utilization,
+                    e.instances] for e in scaler.events],
+        "prometheus": to_prometheus_text(result.metrics,
+                                         now=result.duration),
+    }
+    assert canonical_digest(payload) == (
+        "450bf49232f524573ed26d575de01c6991fff871216955d09b6ddcd86efb38a5")
+
+
+def test_report_qos_json_fingerprint(capsys):
+    assert main(["report", "qos", "social_network", "--qps", "80",
+                 "--duration", "6", "--machines", "4", "--seed", "3",
+                 "--delay", "mongo-posts:0.05", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8a65e09dac794211d6846d0bc32506eceb0065ad2611da9fea19f782f9c29e28")
+
+
+def test_report_degradation_json_fingerprint(capsys):
+    assert main(["report", "degradation", "social_network", "--qps",
+                 "120", "--duration", "8", "--machines", "6", "--seed",
+                 "23", "--slow", "mongo-timeline:6", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["degradation_events"] > 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fee616f0a5f106717473b2c0c601e8a375f0432d1f05c404e08db6d302af02e2")
