@@ -44,6 +44,7 @@ from ...resilience.degrade import CRIT_CRITICAL, CRITICALITIES
 from ...services.app import Application, Operation, Protocol
 from ...services.calltree import CallNode
 from ...services.definition import ServiceDefinition, ServiceKind
+from ...stats.percentiles import nearest_rank
 from ...tracing.span import Span, Trace
 
 __all__ = ["CloneConfig", "CloneResult", "FidelityReport",
@@ -220,16 +221,6 @@ def _invert_payload(net_mean: float, is_root: bool,
     return (round(total_kb / 3.0, 3), round(2.0 * total_kb / 3.0, 3))
 
 
-def _percentile(samples: Sequence[float], p: float) -> float:
-    """Nearest-rank percentile on a sorted copy (deterministic)."""
-    ordered = sorted(samples)
-    if not ordered:
-        return 0.0
-    rank = max(0, min(len(ordered) - 1,
-                      math.ceil(p * len(ordered)) - 1))
-    return ordered[rank]
-
-
 # ---------------------------------------------------------------------
 # the cloner
 # ---------------------------------------------------------------------
@@ -364,7 +355,7 @@ def clone_from_traces(traces: Iterable[Trace], name: str = "clone",
             work_mean=round(svc_mean[svc], 9), work_cv=round(cv, 4))
 
     latencies = [t.latency for t in ok]
-    qos = round(max(_percentile(latencies, 0.99) * config.qos_margin,
+    qos = round(max(nearest_rank(latencies, 0.99) * config.qos_margin,
                     0.01), 6)
     app = Application(
         name=name, services=services, operations=operations,
@@ -418,9 +409,9 @@ def percentile_table(traces: Iterable[Trace], start: float = 0.0,
     return {
         svc: {
             "samples": float(len(values)),
-            "p50": _percentile(values, 0.50),
-            "p95": _percentile(values, 0.95),
-            "p99": _percentile(values, 0.99),
+            "p50": nearest_rank(values, 0.50),
+            "p95": nearest_rank(values, 0.95),
+            "p99": nearest_rank(values, 0.99),
         }
         for svc, values in sorted(samples.items())
     }
@@ -535,10 +526,10 @@ def validate_clone(original_traces: Iterable[Trace],
     comparable are skipped (reported, not compared).
     """
     from ...core.experiment import simulate
-    from ...core.provisioning import balanced_provision
+    from ...core.provisioning import provision_for_load
     app = clone.app if isinstance(clone, CloneResult) else clone
     tolerance = dict(tolerance or DEFAULT_TOLERANCE)
-    replicas = balanced_provision(app, target_qps=max(qps * 1.5, 20))
+    replicas = provision_for_load(app, qps, floor=20)
     result = simulate(app, qps=qps, duration=duration,
                       n_machines=n_machines, replicas=replicas,
                       seed=seed)

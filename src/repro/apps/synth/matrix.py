@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ...resilience.policy import ResiliencePolicy
 from .generator import GeneratorParams, generate
@@ -192,7 +192,7 @@ def run_matrix(spec: Optional[MatrixSpec] = None,
     optional ``callable(str)`` for per-cell status lines.
     """
     from ...chaos.harness import run_chaos_scenario
-    from ...core.provisioning import balanced_provision
+    from ...core.provisioning import provision_for_load
     from ..registry import unregister_app
 
     spec = spec or MatrixSpec()
@@ -203,8 +203,8 @@ def run_matrix(spec: Optional[MatrixSpec] = None,
         if progress is not None:
             progress(f"[{app.name}] baseline")
         policy = _cell_policy(app)
-        replicas = balanced_provision(
-            app, target_qps=max(spec.qps * 2.0, 20.0))
+        replicas = provision_for_load(app, spec.qps, headroom=2.0,
+                                      floor=20.0)
         base = run_chaos_scenario(
             app, "baseline", qps=spec.qps, duration=spec.duration,
             n_machines=spec.n_machines, seed=seed,

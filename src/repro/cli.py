@@ -100,18 +100,35 @@ Commands
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
 from .analytic.model import AnalyticModel
 from .apps.registry import app_names, build_app
 from .core.experiment import simulate
-from .core.provisioning import balanced_provision
+from .core.provisioning import balanced_provision, provision_for_load
 from .core.suite import DeathStarBench
 from .services.graphviz import to_dot
 from .stats.tables import format_table
 
 __all__ = ["main"]
+
+
+class _UsageError(Exception):
+    """A bad command line the parser could not catch; exit code 2."""
+
+
+def _write_json(path: str, payload, what: str) -> None:
+    """Write ``payload`` as sorted, indented JSON and say so."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"{what} written to {path}")
+
+
+def _fmt_seconds(value) -> str:
+    return "-" if value is None else f"{value:.2f}s"
 
 
 def _cmd_list(_args) -> int:
@@ -196,9 +213,17 @@ def _sampler_from_args(args):
     return TraceSampler(rate, seed=getattr(args, "sample_seed", 0))
 
 
+def _simulate(args, app, **kwargs):
+    """Provision ``app`` for ``--qps`` and simulate it with the shared
+    ``--duration``/``--machines``/``--seed`` flags."""
+    return simulate(app, qps=args.qps, duration=args.duration,
+                    n_machines=args.machines,
+                    replicas=provision_for_load(app, args.qps),
+                    seed=args.seed, **kwargs)
+
+
 def _cmd_simulate(args) -> int:
     app = build_app(args.app)
-    replicas = balanced_provision(app, target_qps=max(args.qps * 1.5, 50))
     policy = _resilience_policy(args)
     metrics = None
     if args.metrics_out or args.traces_out:
@@ -209,11 +234,9 @@ def _cmd_simulate(args) -> int:
     if args.degradation:
         from .resilience import arm_degradation
         manager, shedder = arm_degradation(app, qps=args.qps)
-    result = simulate(app, qps=args.qps, duration=args.duration,
-                      n_machines=args.machines, replicas=replicas,
-                      seed=args.seed, default_policy=policy,
-                      metrics=metrics, sampler=sampler,
-                      shedder=shedder, degradation=manager)
+    result = _simulate(args, app, default_policy=policy, metrics=metrics,
+                       sampler=sampler, shedder=shedder,
+                       degradation=manager)
     rows = [
         ["offered load (QPS)", f"{args.qps:g}"],
         ["throughput (req/s)", f"{result.throughput():.1f}"],
@@ -299,15 +322,15 @@ def _parse_fault(text: str, what: str) -> tuple:
     return service, number
 
 
-def _cmd_report_qos(args) -> int:
-    from .obs import MetricsRegistry, attribute_qos_violations
-    app = build_app(args.app)
+def _fault_setup(args, app):
+    """``simulate``'s setup hook for the ``--delay``/``--slow`` flags,
+    or None without faults.  Naming a service ``app`` lacks is a usage
+    error."""
     for service, _ in args.delay + args.slow:
         if service not in app.services:
-            print(f"error: {app.name} has no service {service!r}",
-                  file=sys.stderr)
-            return 2
-    replicas = balanced_provision(app, target_qps=max(args.qps * 1.5, 50))
+            raise _UsageError(f"{app.name} has no service {service!r}")
+    if not (args.delay or args.slow):
+        return None
 
     def inject(deployment):
         for service, seconds in args.delay:
@@ -315,17 +338,19 @@ def _cmd_report_qos(args) -> int:
         for service, factor in args.slow:
             deployment.slow_down_service(service, factor)
 
-    result = simulate(app, qps=args.qps, duration=args.duration,
-                      n_machines=args.machines, replicas=replicas,
-                      seed=args.seed, metrics=MetricsRegistry(),
-                      sampler=_sampler_from_args(args),
-                      setup=inject if (args.delay or args.slow)
-                      else None)
+    return inject
+
+
+def _cmd_report_qos(args) -> int:
+    from .obs import MetricsRegistry, attribute_qos_violations
+    app = build_app(args.app)
+    setup = _fault_setup(args, app)
+    result = _simulate(args, app, metrics=MetricsRegistry(),
+                       sampler=_sampler_from_args(args), setup=setup)
     report = attribute_qos_violations(
         result, target=args.target, p=args.percentile,
         window=args.window)
     if args.json:
-        import json
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True,
                          allow_nan=False))
     else:
@@ -336,10 +361,7 @@ def _cmd_report_qos(args) -> int:
 def _cmd_report_critical_path(args) -> int:
     from .tracing.analysis import critical_path_breakdown
     app = build_app(args.app)
-    replicas = balanced_provision(app, target_qps=max(args.qps * 1.5, 50))
-    result = simulate(app, qps=args.qps, duration=args.duration,
-                      n_machines=args.machines, replicas=replicas,
-                      seed=args.seed, sampler=_sampler_from_args(args))
+    result = _simulate(args, app, sampler=_sampler_from_args(args))
     collector = result.collector
     traces = [t for t in collector.traces
               if t.ok and t.start >= result.warmup]
@@ -349,7 +371,6 @@ def _cmd_report_critical_path(args) -> int:
         return 1
     breakdown = critical_path_breakdown(traces)
     if args.json:
-        import json
         payload = {
             "app": app.name, "qps": args.qps,
             "duration": args.duration, "seed": args.seed,
@@ -385,32 +406,15 @@ def _cmd_report_critical_path(args) -> int:
 def _cmd_report_degradation(args) -> int:
     from .resilience import arm_degradation
     app = build_app(args.app)
-    for service, _ in args.delay + args.slow:
-        if service not in app.services:
-            print(f"error: {app.name} has no service {service!r}",
-                  file=sys.stderr)
-            return 2
-    replicas = balanced_provision(app, target_qps=max(args.qps * 1.5, 50))
+    setup = _fault_setup(args, app)
     manager, shedder = arm_degradation(app, qps=args.qps)
-
-    def inject(deployment):
-        for service, seconds in args.delay:
-            deployment.delay_service(service, seconds)
-        for service, factor in args.slow:
-            deployment.slow_down_service(service, factor)
-
-    result = simulate(app, qps=args.qps, duration=args.duration,
-                      n_machines=args.machines, replicas=replicas,
-                      seed=args.seed, shedder=shedder,
-                      degradation=manager,
-                      setup=inject if (args.delay or args.slow)
-                      else None)
+    result = _simulate(args, app, shedder=shedder, degradation=manager,
+                       setup=setup)
     collector = result.collector
     window = result.duration - result.warmup
     ok = collector.ok_by_class(start=result.warmup)
     utility = collector.utility_by_class(start=result.warmup)
     if args.json:
-        import json
         payload = {
             "app": app.name, "qps": args.qps,
             "duration": args.duration, "seed": args.seed,
@@ -496,7 +500,6 @@ def _cmd_profile(args) -> int:
           f"{len(collector.traces)} traces stored, "  # simlint: disable=SIM007
           f"sampling={desc['mode']} (rate={desc['rate']:g})")
     if args.out:
-        import json
         payload = {
             "profile": recorder.to_dict(),
             "scenario": {
@@ -506,10 +509,7 @@ def _cmd_profile(args) -> int:
             },
             "sampling": desc,
         }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"profile written to {args.out}")
+        _write_json(args.out, payload, "profile")
     return 0
 
 
@@ -523,15 +523,12 @@ def _cmd_predict(args) -> int:
                            title="predict scenarios"))
         return 0
     if args.scenario not in predict_scenario_names():
-        print(f"error: unknown scenario {args.scenario!r}; have: "
-              f"{', '.join(predict_scenario_names())}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"unknown scenario {args.scenario!r}; have: "
+                          f"{', '.join(predict_scenario_names())}")
     overlap = set(args.train_seeds) & set(args.eval_seeds)
     if overlap:
-        print(f"error: train/eval seeds overlap: "
-              f"{sorted(overlap)} — held-out means held out",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"train/eval seeds overlap: {sorted(overlap)} "
+                          f"— held-out means held out")
     report = run_predict_pipeline(
         scenario=args.scenario, model_kind=args.model,
         train_seeds=tuple(args.train_seeds),
@@ -540,11 +537,7 @@ def _cmd_predict(args) -> int:
         mitigate=tuple(args.mitigate))
     print(report.render())
     if args.out:
-        import json
-        with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.out}")
+        _write_json(args.out, report.to_dict(), "report")
     return 0
 
 
@@ -559,17 +552,13 @@ def _cmd_chaos(args) -> int:
                            title="chaos scenarios"))
         return 0
     if not args.app:
-        print("error: APP is required (or use --list-scenarios)",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("APP is required (or use --list-scenarios)")
     names = args.scenario or DEFAULT_SUITE
     unknown = [n for n in names if n not in scenario_names()]
     if unknown:
-        print(f"error: unknown scenario(s): {', '.join(unknown)}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"unknown scenario(s): {', '.join(unknown)}")
     app = build_app(args.app)
-    replicas = balanced_provision(app, target_qps=max(args.qps * 1.5, 50))
+    replicas = provision_for_load(app, args.qps)
     failover = False if args.no_failover else HealthCheckConfig(
         probe_interval=args.probe_interval,
         provision_delay=args.provision_delay)
@@ -581,13 +570,10 @@ def _cmd_chaos(args) -> int:
         print(run.scorecard.render())
         print()
 
-    def fmt(value, unit="s"):
-        return "-" if value is None else f"{value:.2f}{unit}"
-
     rows = [[run.scenario,
              "held" if run.scorecard.steady_state_ok else "VIOLATED",
-             fmt(run.scorecard.detection_time),
-             fmt(run.scorecard.mttr),
+             _fmt_seconds(run.scorecard.detection_time),
+             _fmt_seconds(run.scorecard.mttr),
              f"{run.scorecard.blast_radius:.1f}",
              f"{run.scorecard.goodput_lost * 100:.1f}%",
              run.scorecard.attributed or "-"]
@@ -598,17 +584,13 @@ def _cmd_chaos(args) -> int:
         title=f"{app.name} chaos suite @ {args.qps:g} QPS"))
 
     if args.out:
-        import json
         payload = {
             "app": app.name, "qps": args.qps,
             "duration": args.duration, "seed": args.seed,
             "failover": not args.no_failover,
             "scenarios": [run.scorecard.to_dict() for run in runs],
         }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"scorecards written to {args.out}")
+        _write_json(args.out, payload, "scorecards")
 
     # A broken steady state on a no-fault baseline means the suite is
     # not measuring resilience at all — fail loudly (CI keys off this).
@@ -629,7 +611,7 @@ def _cmd_region(args) -> int:
                          two_region_topology)
 
     app = build_app(args.app)
-    replicas = balanced_provision(app, target_qps=max(args.qps * 1.5, 50))
+    replicas = provision_for_load(app, args.qps)
     # A geo-failover SLO must budget the wide-area legs a failed-over
     # request pays (out and back, plus probe slack).
     qos = args.qos if args.qos is not None \
@@ -663,14 +645,11 @@ def _cmd_region(args) -> int:
     if args.compare_sticky and args.mode == "failover":
         sticky = run(schedule(), "sticky", "region-outage-sticky")
 
-    def fmt(value, unit="s"):
-        return "-" if value is None else f"{value:.2f}{unit}"
-
     runs = [baseline, outage] + ([sticky] if sticky else [])
     rows = [[r.scenario,
              "held" if r.scorecard.steady_state_ok else "VIOLATED",
-             fmt(r.scorecard.detection_time),
-             fmt(r.scorecard.cross_region_mttr),
+             _fmt_seconds(r.scorecard.detection_time),
+             _fmt_seconds(r.scorecard.cross_region_mttr),
              str(r.scorecard.stale_reads),
              f"{r.post_fault_goodput(qos):.1f}"]
             for r in runs]
@@ -690,7 +669,6 @@ def _cmd_region(args) -> int:
               f"({ratio:.2f}x)")
 
     if args.out:
-        import json
         payload = {
             "app": app.name, "qps": args.qps,
             "duration": args.duration, "seed": args.seed,
@@ -702,10 +680,7 @@ def _cmd_region(args) -> int:
         if ratio is not None:
             payload["goodput_ratio"] = \
                 None if ratio == float("inf") else ratio
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"scorecards written to {args.out}")
+        _write_json(args.out, payload, "scorecards")
 
     if not baseline.scorecard.steady_state_ok:
         print("error: steady-state hypothesis violated without faults: "
@@ -835,11 +810,7 @@ def _cmd_synth_clone(args) -> int:
         print(f"skipped (too few samples): "
               f"{', '.join(report.skipped_tiers)}")
     if args.report:
-        import json as _json
-        with open(args.report, "w") as fh:
-            _json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"fidelity report written to {args.report}")
+        _write_json(args.report, report.to_dict(), "fidelity report")
     return 0 if report.ok else 1
 
 
@@ -1185,7 +1156,11 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

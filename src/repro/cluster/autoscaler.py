@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 from ..sim.engine import Environment
 from ..stats.timeseries import StepSeries
+from .machine import busy_fraction
 from .scaling import AutoscalerEvent, ScalingBookkeeper
 
 __all__ = ["UtilizationAutoscaler", "AutoscalerEvent"]
@@ -86,34 +87,22 @@ class UtilizationAutoscaler:
             return self.services
         return list(self.deployment.service_names())
 
-    def _utilization(self, service: str, dt: float) -> float:
-        """Mean tier CPU utilization over the last control period, from
-        cumulative busy-time deltas (non-destructive to other monitors).
-
-        CPU is what real utilization autoscalers watch — and because
-        synchronous worker pools *busy-wait* on blocked downstream
-        calls (see Deployment's sync busy-wait model), a backpressured
-        front tier looks genuinely CPU-saturated here, which is exactly
-        how Fig. 17's case B tricks this policy."""
-        instances = self.deployment.instances_of(service)
-        delta = 0.0
-        cores = 0
-        for inst in instances:
-            busy = inst.cpu.busy_time()
-            delta += busy - self._prev_busy.get(id(inst), 0.0)
-            self._prev_busy[id(inst)] = busy
-            cores += inst.cores
-        if dt <= 0 or cores == 0:
-            return 0.0
-        return min(1.0, delta / (dt * cores))
-
     def _loop(self):
         while True:
             yield self.env.timeout(self.period)
             dt = self.env.now - self._last_sample
             self._last_sample = self.env.now
             for service in self._watched():
-                util = self._utilization(service, dt)
+                # Mean tier CPU utilization over the control period.
+                # CPU is what real utilization autoscalers watch — and
+                # because synchronous worker pools *busy-wait* on
+                # blocked downstream calls (see Deployment's sync
+                # busy-wait model), a backpressured front tier looks
+                # genuinely CPU-saturated here, which is exactly how
+                # Fig. 17's case B tricks this policy.
+                util = busy_fraction(
+                    self.deployment.instances_of(service),
+                    self._prev_busy, dt)
                 now = self.env.now
                 if now - self._last_action.get(service, -1e18) < self.cooldown:
                     continue

@@ -21,7 +21,7 @@ effective core speed, the I/O fraction does not (see
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..arch.frequency import FrequencyModel
 from ..arch.platform import XEON, Platform
@@ -30,7 +30,8 @@ from ..sim.engine import Environment, Event
 from ..sim.ps import ProcessorSharingServer
 from ..sim.resources import FifoLink, Resource
 
-__all__ = ["Machine", "ServiceInstance", "NIC_10G_KB_PER_S"]
+__all__ = ["Machine", "ServiceInstance", "NIC_10G_KB_PER_S",
+           "busy_fraction"]
 
 #: 10 GbE expressed in KB/s (the paper's ToR links).
 NIC_10G_KB_PER_S = 1.25e6
@@ -258,3 +259,22 @@ class ServiceInstance:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Instance {self.instance_id} cores={self.cores}>"
+
+
+def busy_fraction(instances: Sequence[ServiceInstance],
+                  prev_busy: Dict[int, float], dt: float) -> float:
+    """Mean CPU utilization of one tier's ``instances`` over the last
+    ``dt`` seconds, from cumulative busy-time deltas.
+
+    ``prev_busy`` holds each instance's busy time at the previous call
+    and is updated in place; every observer keeps its own map, so none
+    perturbs another's window.  Returns 0.0 when ``dt`` is not
+    positive."""
+    delta = 0.0
+    cores = 0
+    for inst in instances:
+        busy = inst.cpu.busy_time()
+        delta += busy - prev_busy.get(id(inst), 0.0)
+        prev_busy[id(inst)] = busy
+        cores += inst.cores
+    return min(1.0, delta / (dt * cores)) if dt > 0 else 0.0

@@ -2,7 +2,8 @@
 
 from .deployment import Deployment
 from .experiment import ExperimentResult, run_experiment, simulate
-from .provisioning import balanced_provision, provision_iteratively
+from .provisioning import (balanced_provision, provision_for_load,
+                           provision_iteratively)
 from .qos import QoSTarget
 from .report import render_report
 from .suite import DeathStarBench
@@ -14,6 +15,7 @@ __all__ = [
     "QoSTarget",
     "balanced_provision",
     "render_report",
+    "provision_for_load",
     "provision_iteratively",
     "run_experiment",
     "simulate",

@@ -303,33 +303,9 @@ class Deployment:
         """The policy callers apply to RPCs into ``service``."""
         return self.policies.get(service, self.default_policy)
 
-    def set_shedder(self, shedder: Optional[LoadShedder]) -> None:
-        """Install (or remove) front-tier admission control."""
-        self.shedder = shedder
-
-    def set_degradation(self,
-                        manager: Optional[DegradationManager]) -> None:
-        """Arm graceful degradation (binds the brownout controller to
-        this deployment's clock and shedder).  Must be called before
-        traffic starts; the tick process runs for the rest of the sim."""
-        self.degradation = manager
-        if manager is not None:
-            manager.bind(self.env, self.shedder)
-
-    def breaker_for(self, caller: str, callee: str,
-                    instance_id: Optional[str] = None) -> Optional[CircuitBreaker]:
-        """The breaker guarding one call edge, if it exists yet."""
-        key = (caller, callee) if instance_id is None \
-            else (caller, callee, instance_id)
-        return self._breakers.get(key)
-
     def breakers(self) -> Dict[Tuple, CircuitBreaker]:
         """All instantiated breakers, keyed by edge."""
         return dict(self._breakers)
-
-    def retry_budget_for(self, service: str) -> Optional[RetryBudget]:
-        """The shared retry budget for one callee service, if any."""
-        return self._retry_budgets.get(service)
 
     def retry_budgets(self) -> Dict[str, RetryBudget]:
         """All instantiated retry budgets, keyed by callee service."""

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..arch.platform import XEON, Platform
 from ..cluster.cluster import Cluster
+from ..cluster.machine import busy_fraction
 from ..cluster.ratelimit import TokenBucket
 from ..services.app import Application
 from ..sim.engine import Environment
@@ -26,7 +27,8 @@ from ..workload.patterns import constant
 from ..workload.users import UserPopulation
 from .deployment import Deployment
 
-__all__ = ["ExperimentResult", "run_experiment", "simulate"]
+__all__ = ["ExperimentResult", "run_experiment", "simulate",
+           "utilization_monitor"]
 
 RateFn = Callable[[float], float]
 
@@ -107,6 +109,26 @@ class ExperimentResult:
         return self.goodput(qos_latency, p) > 0.0
 
 
+def utilization_monitor(env: Environment, deployment,
+                        utilization: Dict[str, TimeSeries],
+                        sample_period: float):
+    """Process body recording each tier's windowed CPU utilization into
+    ``utilization`` (keyed by service) every ``sample_period`` seconds.
+
+    It keeps its own busy-time bookkeeping (:func:`~repro.cluster.
+    machine.busy_fraction`), so it never perturbs an autoscaler's or
+    the metrics scraper's sampling."""
+    prev_busy: Dict[int, float] = {}
+    last_t = env.now
+    while True:
+        yield env.timeout(sample_period)
+        dt = env.now - last_t
+        last_t = env.now
+        for name, series in utilization.items():
+            series.record(env.now, busy_fraction(
+                deployment.instances_of(name), prev_busy, dt))
+
+
 def run_experiment(deployment: Deployment,
                    rate: Union[float, RateFn],
                    duration: float,
@@ -144,30 +166,9 @@ def run_experiment(deployment: Deployment,
         name: TimeSeries(name) for name in deployment.service_names()
     } if monitorable else {}
 
-    def monitor():
-        # Windowed utilization from cumulative busy-time deltas, so this
-        # observer never perturbs the autoscaler's own sampling.
-        prev_busy: Dict[int, float] = {}
-        last_t = env.now
-        while True:
-            yield env.timeout(sample_period)
-            dt = env.now - last_t
-            last_t = env.now
-            for name, series in utilization.items():
-                instances = deployment.instances_of(name)
-                delta = 0.0
-                cores = 0
-                for inst in instances:
-                    busy = inst.cpu.busy_time()
-                    delta += busy - prev_busy.get(id(inst), 0.0)
-                    prev_busy[id(inst)] = busy
-                    cores += inst.cores
-                series.record(env.now,
-                              min(1.0, delta / (dt * cores)) if dt > 0
-                              else 0.0)
-
     if monitorable:
-        env.process(monitor(), name="monitor")
+        env.process(utilization_monitor(env, deployment, utilization,
+                                        sample_period), name="monitor")
     registry = None
     if metrics is not None and metrics is not False:
         from ..obs import MetricsRegistry, instrument_experiment

@@ -24,7 +24,14 @@ from ..arch.platform import XEON, Platform
 from ..services.app import Application
 from ..analytic.model import AnalyticModel
 
-__all__ = ["balanced_provision", "provision_iteratively"]
+__all__ = ["LOAD_HEADROOM", "MIN_PROVISION_QPS", "balanced_provision",
+           "provision_for_load", "provision_iteratively"]
+
+#: The load-provisioning rule of the CLI and the profiler: size every
+#: tier for 1.5x the offered load, and never for less than 50 QPS, so a
+#: light run still gets a realistic replica spread.
+LOAD_HEADROOM = 1.5
+MIN_PROVISION_QPS = 50
 
 
 def balanced_provision(app: Application, target_qps: float,
@@ -51,6 +58,14 @@ def balanced_provision(app: Application, target_qps: float,
             if arrival * per_visit > 0 else 1
         replicas[service] = max(1, math.ceil(servers / cores_per_replica))
     return replicas
+
+
+def provision_for_load(app: Application, qps: float,
+                       headroom: float = LOAD_HEADROOM,
+                       floor: float = MIN_PROVISION_QPS) -> Dict[str, int]:
+    """Balanced replica counts for running ``app`` at ``qps``, sized
+    for ``headroom`` times the load and at least ``floor`` QPS."""
+    return balanced_provision(app, target_qps=max(qps * headroom, floor))
 
 
 def provision_iteratively(app: Application, target_qps: float,

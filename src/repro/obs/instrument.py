@@ -57,8 +57,7 @@ into the ring buffers, breaker flips appear as gauge steps.
 
 from __future__ import annotations
 
-from typing import Optional
-
+from ..cluster.machine import busy_fraction
 from ..resilience.breaker import CLOSED, HALF_OPEN
 from ..resilience.degrade import CRITICALITIES
 from .registry import MetricsRegistry
@@ -152,8 +151,7 @@ def instrument_deployment(registry: MetricsRegistry, deployment) -> None:
 
     # Windowed utilization from cumulative busy-time deltas (sampling
     # the busy fraction at the scrape instant would read ~0 at low
-    # load); same technique as the harness monitor, own bookkeeping so
-    # neither observer perturbs the other.
+    # load), with its own bookkeeping so no other observer is perturbed.
     prev_busy = {}
     last_t = [None]
 
@@ -161,16 +159,9 @@ def instrument_deployment(registry: MetricsRegistry, deployment) -> None:
         dt = now - last_t[0] if last_t[0] is not None else now
         for service in deployment.service_names():
             instances = deployment.instances_of(service)
-            delta = 0.0
-            cores = 0
-            for inst in instances:
-                busy = inst.cpu.busy_time()
-                delta += busy - prev_busy.get(id(inst), 0.0)
-                prev_busy[id(inst)] = busy
-                cores += inst.cores
-            if dt > 0 and cores > 0:
-                util.labels(service=service).set(
-                    min(1.0, delta / (dt * cores)))
+            busy = busy_fraction(instances, prev_busy, dt)
+            if dt > 0:
+                util.labels(service=service).set(busy)
             runq.labels(service=service).set(
                 sum(inst.cpu.active_jobs for inst in instances))
             outstanding.labels(service=service).set(

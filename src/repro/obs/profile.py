@@ -308,14 +308,14 @@ def profile_simulation(app_name: str, *, qps: float, duration: float,
     """
     from ..apps.registry import build_app
     from ..core.experiment import simulate
-    from ..core.provisioning import balanced_provision
+    from ..core.provisioning import provision_for_load
     from ..tracing.sampling import TraceSampler
     from .exporters import to_prometheus_text, traces_to_otlp_json
     from .registry import MetricsRegistry
 
     recorder = FlightRecorder()
     app = build_app(app_name)
-    replicas = balanced_provision(app, target_qps=max(qps * 1.5, 50))
+    replicas = provision_for_load(app, qps)
     sampler = None
     if sample_rate is not None and sample_rate < 1.0:
         sampler = TraceSampler(sample_rate, seed=sample_seed)

@@ -42,6 +42,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..stats.percentiles import nearest_rank
+
 __all__ = [
     "CRIT_CRITICAL",
     "CRIT_DEGRADABLE",
@@ -200,13 +202,6 @@ class BrownoutEvent:
     error_rate: Optional[float] = None
 
 
-def _p95(window: List[float]) -> float:
-    """Deterministic p95 (nearest-rank) of a non-empty window."""
-    ordered = sorted(window)
-    rank = math.ceil(0.95 * len(ordered)) - 1
-    return ordered[max(rank, 0)]
-
-
 class DegradationManager:
     """Policies + brownout level + utility counters for one deployment.
 
@@ -276,7 +271,7 @@ class DegradationManager:
             yield self._env.timeout(cfg.interval)
             window, self._window = self._window, []
             failures, self._window_failures = self._window_failures, 0
-            p95 = _p95(window) if len(window) >= cfg.min_samples \
+            p95 = nearest_rank(window, 0.95) if len(window) >= cfg.min_samples \
                 else None
             total = len(window) + failures
             err = failures / total if total >= cfg.min_samples else None

@@ -181,11 +181,6 @@ class Process(Event):
         boot.callbacks.append(self._resume)
         boot.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self._triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 

@@ -1,7 +1,7 @@
 """Statistics substrate: latency distributions, time series, tables."""
 
 from .dashboard import render_dashboard, sparkline
-from .percentiles import LatencyRecorder, percentile, summarize
+from .percentiles import LatencyRecorder, nearest_rank, percentile, summarize
 from .tables import format_heatmap, format_series, format_table
 from .timeseries import StepSeries, TimeSeries
 
@@ -14,6 +14,7 @@ __all__ = [
     "format_table",
     "render_dashboard",
     "sparkline",
+    "nearest_rank",
     "percentile",
     "summarize",
 ]

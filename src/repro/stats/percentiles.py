@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["LatencyRecorder", "percentile", "summarize"]
+__all__ = ["LatencyRecorder", "nearest_rank", "percentile", "summarize"]
 
 
 def percentile(samples: Sequence[float], p: float) -> float:
@@ -26,6 +26,21 @@ def percentile(samples: Sequence[float], p: float) -> float:
     if len(samples) == 0:
         raise ValueError("percentile of empty sample set")
     return float(np.quantile(np.asarray(samples, dtype=float), p))
+
+
+def nearest_rank(samples: Sequence[float], p: float) -> float:
+    """The ``p``-quantile of ``samples`` by the nearest-rank rule: the
+    smallest sample with at least a ``p`` share of samples at or below
+    it (numpy's ``inverted_cdf`` method).
+
+    Unlike :func:`percentile` it never interpolates, so the answer is
+    always one of the samples.  Raises on an empty sample set."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    if len(samples) == 0:
+        raise ValueError("nearest_rank of empty sample set")
+    ordered = sorted(samples)
+    return ordered[max(0, math.ceil(p * len(ordered)) - 1)]
 
 
 def summarize(samples: Sequence[float]) -> Dict[str, float]:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from repro.stats import (
     format_heatmap,
     format_series,
     format_table,
+    nearest_rank,
     percentile,
     summarize,
 )
@@ -32,6 +34,28 @@ def test_percentile_validation():
         percentile([], 0.5)
     with pytest.raises(ValueError):
         percentile([1.0], 1.5)
+
+
+def test_nearest_rank_basic():
+    xs = list(range(100, 0, -1))
+    assert nearest_rank(xs, 0.5) == 50
+    assert nearest_rank(xs, 0.95) == 95
+    assert nearest_rank(xs, 0.0) == 1
+    assert nearest_rank(xs, 1.0) == 100
+    with pytest.raises(ValueError):
+        nearest_rank([], 0.5)
+    with pytest.raises(ValueError):
+        nearest_rank([1.0], 1.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.floats(min_value=0, max_value=1e6),
+                   min_size=1, max_size=200),
+       p=st.one_of(st.sampled_from([0.0, 0.5, 0.95, 0.99, 1.0]),
+                   st.floats(min_value=0.0, max_value=1.0)))
+def test_property_nearest_rank_is_inverted_cdf(xs, p):
+    expected = np.quantile(np.asarray(xs), p, method="inverted_cdf")
+    assert nearest_rank(xs, p) == float(expected)
 
 
 def test_summarize_fields():
