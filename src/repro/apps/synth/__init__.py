@@ -14,8 +14,7 @@ Three entry points, one per half of the subsystem:
 """
 
 from .clone import (CloneConfig, CloneResult, FidelityReport,
-                    clone_from_traces, load_traces, percentile_table,
-                    validate_clone)
+                    clone_from_traces, percentile_table, validate_clone)
 from .generator import (GeneratorParams, generate, parse_spec,
                         topology_json)
 from .matrix import MatrixReport, MatrixSpec, run_matrix
@@ -23,6 +22,6 @@ from .matrix import MatrixReport, MatrixSpec, run_matrix
 __all__ = [
     "CloneConfig", "CloneResult", "FidelityReport", "GeneratorParams",
     "MatrixReport", "MatrixSpec", "clone_from_traces", "generate",
-    "load_traces", "parse_spec", "percentile_table", "run_matrix",
-    "topology_json", "validate_clone",
+    "parse_spec", "percentile_table", "run_matrix", "topology_json",
+    "validate_clone",
 ]

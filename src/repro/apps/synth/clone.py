@@ -48,8 +48,8 @@ from ...stats.percentiles import nearest_rank
 from ...tracing.span import Span, Trace
 
 __all__ = ["CloneConfig", "CloneResult", "FidelityReport",
-           "TierFidelity", "clone_from_traces", "load_traces",
-           "percentile_table", "validate_clone"]
+           "TierFidelity", "clone_from_traces", "percentile_table",
+           "validate_clone"]
 
 #: Documented cross-validation tolerance: max relative drift of the
 #: clone's per-tier percentiles vs. the original trace set.  p50 is the
@@ -100,24 +100,6 @@ class CloneResult:
     used_traces: int
     per_service_samples: Dict[str, int]
     warnings: List[Finding] = field(default_factory=list)
-
-
-# ---------------------------------------------------------------------
-# trace ingestion
-# ---------------------------------------------------------------------
-
-def load_traces(payload: str) -> List[Trace]:
-    """Parse a trace export, auto-detecting the envelope.
-
-    Accepts both portable formats the suite writes: the Zipkin-style
-    schema-v2 envelope (:func:`repro.tracing.traces_to_json`) and the
-    OTLP ``resourceSpans`` dump (:func:`repro.obs.traces_to_otlp_json`).
-    """
-    from ...obs.exporters import otlp_json_to_traces
-    from ...tracing.export import traces_from_json
-    if '"resourceSpans"' in payload[:10_000]:
-        return otlp_json_to_traces(payload)
-    return traces_from_json(payload)
 
 
 # ---------------------------------------------------------------------

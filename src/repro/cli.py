@@ -65,8 +65,8 @@ Commands
     takes an APP also accepts these specs directly
     (``repro simulate synth:mesh:n32:seed7 ...``).
 ``synth clone TRACES_FILE --name NAME``
-    Infer a matching application from an exported trace set (OTLP from
-    ``simulate --traces-out`` or schema-v2 JSON): call-graph structure,
+    Infer a matching application from an OTLP trace export
+    (``simulate --traces-out``): call-graph structure,
     serial-vs-parallel dispatch, per-tier service-time distributions,
     and payload sizes.  ``--validate`` re-simulates the clone and gates
     (exit code) on the per-tier p50/p95/p99 fidelity tolerance;
@@ -781,13 +781,28 @@ def _cmd_synth_generate(args) -> int:
 
 
 def _cmd_synth_clone(args) -> int:
+    from .analysis_static.topology import TopologyError
     from .apps.synth import (CloneConfig, clone_from_traces,
-                             load_traces, topology_json,
-                             validate_clone)
-    with open(args.traces) as fh:
-        traces = load_traces(fh.read())
+                             topology_json, validate_clone)
+    from .obs.exporters import otlp_json_to_traces
+    try:
+        with open(args.traces) as fh:
+            traces = otlp_json_to_traces(fh.read())
+    except OSError as exc:
+        raise _UsageError(f"cannot read {args.traces}: {exc.strerror}")
+    except ValueError as exc:
+        raise _UsageError(f"{args.traces} is not an OTLP trace "
+                          f"export: {exc}")
+    if not traces:
+        raise _UsageError(f"no OTLP traces in {args.traces}")
     config = CloneConfig(min_service_samples=args.min_samples)
-    result = clone_from_traces(traces, name=args.name, config=config)
+    try:
+        result = clone_from_traces(traces, name=args.name, config=config)
+    except TopologyError as exc:
+        for finding in exc.findings:
+            print(f"error: {finding.code} {finding.message}",
+                  file=sys.stderr)
+        return 1
     app = result.app
     print(f"{app.name}: cloned {len(app.services)} services, "
           f"{len(app.operations)} operations from "
@@ -1054,11 +1069,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write topology JSON to FILE instead of stdout")
     p = synth_sub.add_parser(
-        "clone", help="infer an application from an exported trace "
-                      "set (OTLP or schema-v2 JSON)")
+        "clone", help="infer an application from an OTLP trace "
+                      "export")
     p.add_argument("traces", metavar="TRACES_FILE",
-                   help="trace export file (repro simulate "
-                        "--traces-out, or repro.tracing JSON)")
+                   help="OTLP JSON trace file (repro simulate "
+                        "--traces-out)")
     p.add_argument("--name", default="clone",
                    help="name for the cloned application")
     p.add_argument("--min-samples", type=_nonnegative_int, default=20,

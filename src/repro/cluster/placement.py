@@ -11,22 +11,22 @@ the placement policies a deployment can use:
 * :class:`BinPackPlacer` — first-fit-decreasing on (cores, memory):
   minimizes the number of machines used, the consolidation strategy
   cloud operators bill by.
-* :class:`ZoneAwarePlacer` wrapping either, restricting candidates to
-  the service's zone (cloud vs. edge).
+
+A deployment runs one placer per zone (cloud vs. edge), so a service
+only lands on machines in its own zone.
 
 A placement decision returns the machine; capacity accounting covers
-both cores and memory, and `utilization_report` summarizes the packing.
+both cores and memory.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..services.definition import ServiceDefinition
 from .machine import Machine
 
-__all__ = ["PlacementError", "SpreadPlacer", "BinPackPlacer",
-           "placement_report"]
+__all__ = ["PlacementError", "SpreadPlacer", "BinPackPlacer"]
 
 #: Default memory footprint per instance when the service doesn't say
 #: (most logic tiers are small; stores declare their own).
@@ -131,14 +131,3 @@ class BinPackPlacer:
             f"no machine fits {definition.name} "
             f"({cores} cores, {memory:.0f} MB)")
 
-
-def placement_report(machines: Sequence[Machine]) -> List[list]:
-    """Rows of (machine, instances, cores used, services) — the packing
-    picture Fig. 1 draws."""
-    rows = []
-    for machine in machines:
-        services = sorted({inst.definition.name
-                           for inst in machine.instances})
-        rows.append([machine.machine_id, len(machine.instances),
-                     machine.allocated_cores, ", ".join(services)])
-    return rows

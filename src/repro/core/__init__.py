@@ -5,7 +5,6 @@ from .experiment import ExperimentResult, run_experiment, simulate
 from .provisioning import (balanced_provision, provision_for_load,
                            provision_iteratively)
 from .qos import QoSTarget
-from .report import render_report
 from .suite import DeathStarBench
 
 __all__ = [
@@ -14,7 +13,6 @@ __all__ = [
     "ExperimentResult",
     "QoSTarget",
     "balanced_provision",
-    "render_report",
     "provision_for_load",
     "provision_iteratively",
     "run_experiment",

@@ -285,20 +285,6 @@ class Deployment:
         return self._cache_model.get(service)
 
     # -- resilience configuration ------------------------------------------
-    def set_policy(self, policy: Optional[ResiliencePolicy],
-                   service: Optional[str] = None) -> None:
-        """Install a resilience policy for one callee service, or (with
-        ``service=None``) as the default for every service."""
-        if service is None:
-            self.default_policy = policy
-            return
-        if service not in self.app.services:
-            raise KeyError(f"unknown service {service!r}")
-        if policy is None:
-            self.policies.pop(service, None)
-        else:
-            self.policies[service] = policy
-
     def policy_for(self, service: str) -> Optional[ResiliencePolicy]:
         """The policy callers apply to RPCs into ``service``."""
         return self.policies.get(service, self.default_policy)

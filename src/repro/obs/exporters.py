@@ -8,9 +8,10 @@ between configurations, or loaded into external tooling:
   the registry's current counter, gauge, and histogram values.
 * :func:`traces_to_otlp_json` — an OTLP-shaped JSON trace dump
   (``resourceSpans`` → ``scopeSpans`` → spans with hex trace/span ids,
-  nanosecond sim timestamps, attributes, and a status code), the
-  Jaeger-importable sibling of the Zipkin export in
-  :mod:`repro.tracing.export`.
+  nanosecond sim timestamps, attributes, and a status code), which
+  Jaeger imports and :func:`otlp_json_to_traces` reads back.  It is
+  the suite's one trace format: ``simulate --traces-out`` writes it
+  and ``synth clone`` reads it.
 
 Both renderings iterate insertion-ordered structures only and contain
 no wall-clock values, so two same-seed runs export byte-identical
@@ -209,6 +210,8 @@ def otlp_json_to_traces(payload: str) -> List[Trace]:
     residue stays lost (documented one-way rounding).
     """
     data = json.loads(payload)
+    if not isinstance(data, dict):
+        raise ValueError("an OTLP trace document is a JSON object")
     spans: dict = {}
     parents: dict = {}
     for resource in data.get("resourceSpans", []):

@@ -11,30 +11,26 @@ from .engine import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
 )
 from .ps import ProcessorSharingServer
-from .resources import Container, FifoLink, Request, Resource, Store
+from .resources import FifoLink, Request, Resource
 from .rng import RandomStreams, ZipfSampler
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "FifoLink",
-    "Interrupt",
     "Process",
     "ProcessorSharingServer",
     "RandomStreams",
     "Request",
     "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
     "ZipfSampler",
 ]

@@ -43,25 +43,12 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimulationError",
 ]
 
 
 class SimulationError(Exception):
     """Raised for illegal uses of the simulation API."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    The interrupting party supplies a ``cause`` which the interrupted
-    process can inspect, e.g. to distinguish preemption from cancellation.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -169,40 +156,19 @@ class Process(Event):
     generator's uncaught exception.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         super().__init__(env)
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         # Bootstrap: resume once at the current time.
         boot = Event(env)
         boot.callbacks.append(self._resume)
         boot.succeed()
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a
-        process blocked on an event detaches it from that event first.
-        """
-        if self._triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        kick = Event(self.env)
-        kick.callbacks.append(lambda ev: self._step_throw(Interrupt(cause)))
-        kick.succeed()
-
     # -- internals -------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -239,7 +205,6 @@ class Process(Event):
             kick.succeed()
         else:
             target.callbacks.append(self._resume)
-            self._waiting_on = target
 
     def _terminate(self, exc: BaseException) -> None:
         if not self.callbacks:
@@ -424,12 +389,6 @@ class Environment:
         if self._crash is not None:
             crash, self._crash = self._crash, None
             raise crash
-
-    def peek(self) -> float:
-        """Time of the next pending event, or ``inf`` if none."""
-        if self._soon:
-            return self.now
-        return self._heap[0][0] if self._heap else float("inf")
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue empties or the clock reaches ``until``."""

@@ -101,18 +101,6 @@ class RandomStreams:
         mu = math.log(mean) - sigma2 / 2.0
         return self.stream(name).lognormvariate(mu, math.sqrt(sigma2))
 
-    def pareto_bounded(self, name: str, shape: float, lo: float,
-                       hi: float) -> float:
-        """Bounded Pareto variate on ``[lo, hi]`` — heavy-tailed payload
-        sizes (posts with text vs. multi-MB video attachments)."""
-        if not (0 < lo <= hi):
-            raise ValueError("need 0 < lo <= hi")
-        if lo == hi:
-            return lo
-        u = self.stream(name).random()
-        la, ha = lo ** shape, hi ** shape
-        return (-(u * ha - u * la - ha) / (ha * la)) ** (-1.0 / shape)
-
     def uniform(self, name: str, lo: float, hi: float) -> float:
         """Uniform variate on ``[lo, hi]``."""
         return self.stream(name).uniform(lo, hi)

@@ -38,14 +38,6 @@ def test_thunderx_weaker_per_thread_than_xeon_at_same_freq():
     assert THUNDERX.cores_per_server > XEON.cores_per_server
 
 
-def test_at_frequency_pins_clock():
-    capped = XEON.at_frequency(1.8)
-    assert capped.nominal_freq_ghz == 1.8
-    assert capped.core_speed(1.8) == pytest.approx(XEON.core_speed(1.8))
-    with pytest.raises(ValueError):
-        XEON.at_frequency(5.0)
-
-
 def test_xeon_1p8_matches_capped_xeon():
     assert XEON_1P8.core_speed(1.8) == pytest.approx(XEON.core_speed(1.8))
 

@@ -227,3 +227,43 @@ def test_lint_sarif_format(tmp_path, capsys):
     [run] = sarif["runs"]
     assert run["tool"]["driver"]["name"] == "repro-simlint"
     assert any(r["ruleId"] == "SIM001" for r in run["results"])
+
+
+#: A schema-v2 envelope, the trace format the suite wrote before OTLP.
+_SCHEMA_V2 = (
+    '{"schemaVersion": 2, "spans": [{"traceId": "00000000", '
+    '"id": "00000000.0000", "parentId": null, "name": "op", '
+    '"localEndpoint": {"serviceName": "fe"}, "timestamp": 0, '
+    '"duration": 900, "tags": {"status": "ok"}}]}')
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),
+    ("not json {", "is not an OTLP trace export"),
+    ("[]", "is not an OTLP trace export"),
+    ("{}", "no OTLP traces in"),
+    (_SCHEMA_V2, "no OTLP traces in"),
+], ids=["missing", "not-json", "json-array", "empty-object",
+        "schema-v2"])
+def test_synth_clone_rejects_bad_trace_file(tmp_path, capsys, content,
+                                            message):
+    path = tmp_path / "traces.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["synth", "clone", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert err.startswith("error: ") and message in err
+
+
+def test_synth_clone_reports_unclonable_traces(tmp_path, capsys):
+    from repro.obs import traces_to_otlp_json
+    from repro.tracing import Span, Trace
+    failed = Trace(operation="op", root=Span(
+        service="fe", operation="op", start=0.0, end=1e-3,
+        status="timeout"))
+    path = tmp_path / "traces.json"
+    path.write_text(traces_to_otlp_json([failed]))
+    assert main(["synth", "clone", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: SYN002 no successful traces" in err

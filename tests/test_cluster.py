@@ -97,20 +97,13 @@ def test_homogeneous_cluster_and_zones():
     assert len(merged.zone("cloud")) == 3
 
 
-def test_slow_down_fraction_hits_at_least_one():
-    env = Environment()
-    cluster = Cluster.homogeneous(env, XEON, 10)
-    victims = cluster.slow_down_fraction(0.01, factor=0.3)
-    assert len(victims) == 1
-    assert victims[0].slow_factor == 0.3
-    cluster.heal()
-    assert all(m.slow_factor == 1.0 for m in cluster.machines)
-
-
-def test_slow_down_zero_fraction_noop():
+def test_heal_restores_full_speed():
     env = Environment()
     cluster = Cluster.homogeneous(env, XEON, 4)
-    assert cluster.slow_down_fraction(0.0, factor=0.3) == []
+    cluster.machines[2].set_slow_factor(0.3)
+    assert cluster.machines[2].slow_factor == 0.3
+    cluster.heal()
+    assert all(m.slow_factor == 1.0 for m in cluster.machines)
 
 
 def test_cluster_set_frequency_applies_everywhere():

@@ -9,7 +9,6 @@ from repro.cluster.placement import (
     PlacementError,
     SpreadPlacer,
     memory_of,
-    placement_report,
 )
 from repro.core import Deployment
 from repro.services import Application, CallNode, Operation, seq
@@ -106,12 +105,3 @@ def test_deployment_rejects_unknown_placement():
     with pytest.raises(ValueError):
         Deployment(env, two_tier(), cluster, placement="tetris")
 
-
-def test_placement_report_rows():
-    env = Environment()
-    cluster = Cluster.homogeneous(env, XEON, 2)
-    Deployment(env, two_tier(), cluster, placement="binpack")
-    rows = placement_report(cluster.machines)
-    assert rows[0][0] == "m0"
-    assert rows[0][1] == 2  # both tiers packed on m0
-    assert "cache" in rows[0][3] and "web" in rows[0][3]

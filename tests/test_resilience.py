@@ -305,13 +305,11 @@ def test_simulate_passes_resilience_config():
 
 
 def test_policy_management_api():
-    dep = deploy()
     policy = ResiliencePolicy(max_retries=1)
-    dep.set_policy(policy, service="cache")
+    dep = deploy(policies={"cache": policy})
     assert dep.policy_for("cache") is policy
     assert dep.policy_for("web") is None
     fallback = ResiliencePolicy(rpc_timeout=0.5)
-    dep.set_policy(fallback)
+    dep = deploy(policies={"cache": policy}, default_policy=fallback)
+    assert dep.policy_for("cache") is policy
     assert dep.policy_for("web") is fallback
-    with pytest.raises(KeyError):
-        dep.set_policy(policy, service="nope")

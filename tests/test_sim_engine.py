@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    Environment,
-    Interrupt,
-    SimulationError,
-)
+from repro.sim import Environment, SimulationError
 
 
 def test_timeout_advances_clock():
@@ -205,38 +201,6 @@ def test_any_of_failure_propagates():
     assert caught == [1.0]
 
 
-def test_interrupt_delivers_cause():
-    env = Environment()
-    log = []
-
-    def victim():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as intr:
-            log.append((env.now, intr.cause))
-
-    def attacker(proc):
-        yield env.timeout(2.0)
-        proc.interrupt(cause="preempted")
-
-    target = env.process(victim())
-    env.process(attacker(target))
-    env.run()
-    assert log == [(2.0, "preempted")]
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(0.1)
-
-    proc = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
 def test_yield_non_event_raises_inside_process():
     env = Environment()
     caught = []
@@ -265,14 +229,6 @@ def test_waiting_on_already_processed_event():
     env.process(late_waiter())
     env.run()
     assert seen == [5.0]
-
-
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(7.0)
-    assert env.peek() == 7.0
-    env.run()
-    assert env.peek() == float("inf")
 
 
 def test_call_soon_keeps_succeed_order():

@@ -1,11 +1,10 @@
-"""Unit tests for Resource, FifoLink, Container, and Store primitives."""
+"""Unit tests for the Resource and FifoLink primitives."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (Container, Environment, FifoLink, Resource,
-                       SimulationError, Store)
+from repro.sim import Environment, FifoLink, Resource, SimulationError
 
 
 def test_resource_grants_up_to_capacity():
@@ -93,35 +92,10 @@ def test_resource_release_while_queued_withdraws():
     assert order == [10.0]
 
 
-def test_resource_resize_admits_waiters():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    starts = []
-
-    def user(tag):
-        with res.request() as req:
-            yield req
-            starts.append((tag, env.now))
-            yield env.timeout(10.0)
-
-    def grow():
-        yield env.timeout(2.0)
-        res.resize(3)
-
-    for tag in "abc":
-        env.process(user(tag))
-    env.process(grow())
-    env.run()
-    assert starts == [("a", 0.0), ("b", 2.0), ("c", 2.0)]
-
-
 def test_resource_invalid_capacity():
     env = Environment()
     with pytest.raises(SimulationError):
         Resource(env, capacity=0)
-    res = Resource(env, capacity=1)
-    with pytest.raises(SimulationError):
-        res.resize(0)
 
 
 def _run_nic(arrivals, holds, via_link):
@@ -204,90 +178,3 @@ def test_fifo_link_depth_counts_queued_and_serializing():
     env.run()
     assert seen == [3, 2, 0, (4.0, 0)]
 
-
-def test_container_get_blocks_until_put():
-    env = Environment()
-    tank = Container(env, capacity=100.0, init=0.0)
-    got = []
-
-    def consumer():
-        yield tank.get(10.0)
-        got.append(env.now)
-
-    def producer():
-        yield env.timeout(3.0)
-        yield tank.put(10.0)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [3.0]
-    assert tank.level == 0.0
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10.0, init=10.0)
-    done = []
-
-    def producer():
-        yield tank.put(5.0)
-        done.append(env.now)
-
-    def consumer():
-        yield env.timeout(2.0)
-        yield tank.get(5.0)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert done == [2.0]
-    assert tank.level == 10.0
-
-
-def test_container_rejects_bad_init():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Container(env, capacity=5.0, init=6.0)
-
-
-def test_store_fifo_semantics():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer():
-        for item in ["x", "y", "z"]:
-            yield store.put(item)
-            yield env.timeout(1.0)
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            received.append((env.now, item))
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert [item for _, item in received] == ["x", "y", "z"]
-
-
-def test_store_bounded_blocks_producer():
-    env = Environment()
-    store = Store(env, capacity=1)
-    times = []
-
-    def producer():
-        yield store.put(1)
-        times.append(env.now)
-        yield store.put(2)
-        times.append(env.now)
-
-    def consumer():
-        yield env.timeout(4.0)
-        yield store.get()
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert times == [0.0, 4.0]

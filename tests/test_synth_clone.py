@@ -13,13 +13,12 @@ import pytest
 from repro.analysis_static.topology import TopologyError
 from repro.apps import build_app, reset_registry
 from repro.apps.synth import (CloneConfig, clone_from_traces,
-                              load_traces, percentile_table,
+                              percentile_table, topology_json,
                               validate_clone)
 from repro.core.experiment import simulate
 from repro.core.provisioning import balanced_provision
-from repro.obs import traces_to_otlp_json
+from repro.obs import otlp_json_to_traces, traces_to_otlp_json
 from repro.resilience.degrade import CRIT_SHEDDABLE
-from repro.tracing import traces_to_json
 from repro.tracing.span import Span, Trace
 
 US = 1e-6
@@ -142,15 +141,16 @@ class TestRegistryIntegration:
                               register=True)
 
 
-class TestLoadTraces:
-    def test_autodetects_both_export_formats(self):
-        traces = [_mixed_dispatch_trace(i * 2000.0) for i in range(3)]
-        for payload in (traces_to_json(traces),
-                        traces_to_otlp_json(traces)):
-            back = load_traces(payload)
-            assert len(back) == 3
-            assert back[0].root.service == "fe"
-            assert len(back[0].root.children) == 3
+class TestOtlpInput:
+    def test_otlp_export_clones_like_live_traces(self):
+        """``synth clone`` reads an OTLP file; the clone it infers must
+        match the one built from the collector's traces directly."""
+        traces = [_mixed_dispatch_trace(i * 2000.0) for i in range(30)]
+        live = clone_from_traces(traces, name="otlp", config=LOOSE)
+        loaded = clone_from_traces(
+            otlp_json_to_traces(traces_to_otlp_json(traces)),
+            name="otlp", config=LOOSE)
+        assert topology_json(loaded.app) == topology_json(live.app)
 
 
 class TestPercentileTable:

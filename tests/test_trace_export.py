@@ -1,20 +1,15 @@
-"""Tests for Zipkin-style trace export/import."""
+"""Tests for OTLP trace export/import: what a round trip keeps."""
 
-import json
 from itertools import islice
 
 import pytest
 
 from repro.apps import build_app
 from repro.core import simulate
-from repro.tracing import (
-    SCHEMA_VERSION,
-    Span,
-    Trace,
-    traces_from_json,
-    traces_to_json,
-    span_records,
-)
+from repro.obs import otlp_json_to_traces, traces_to_otlp_json
+from repro.tracing import Span, Trace
+
+US = 1e-6
 
 
 def make_trace(user=7):
@@ -26,21 +21,13 @@ def make_trace(user=7):
     return Trace(operation="get", root=root, user=user)
 
 
-def test_span_records_flatten_with_parent_links():
-    records = span_records(make_trace(), trace_id=5)
-    assert len(records) == 2
-    root, child = records
-    assert root["parentId"] is None
-    assert child["parentId"] == root["id"]
-    assert root["traceId"] == child["traceId"] == "00000005"
-    assert root["duration"] == 3_000_000
-    assert child["localEndpoint"]["serviceName"] == "cache"
+def round_trip(traces):
+    return otlp_json_to_traces(traces_to_otlp_json(traces))
 
 
 def test_round_trip_preserves_structure_and_times():
     original = [make_trace(user=1), make_trace(user=2)]
-    payload = traces_to_json(original)
-    restored = traces_from_json(payload)
+    restored = round_trip(original)
     assert len(restored) == 2
     for orig, back in zip(original, restored):
         assert back.operation == orig.operation
@@ -52,25 +39,43 @@ def test_round_trip_preserves_structure_and_times():
             orig.root.children[0].app_time, abs=1e-5)
 
 
-def test_export_is_versioned_envelope():
-    payload = traces_to_json([make_trace()], indent=2)
-    data = json.loads(payload)
-    assert data["schemaVersion"] == SCHEMA_VERSION == 2
-    assert isinstance(data["spans"], list)
-    assert all("timestamp" in r for r in data["spans"])
+def test_child_and_trace_order_survive_import():
+    """Children come back in dispatch order, not start-time or service
+    order, past the 16-span and 16-trace hex boundaries."""
+    names = [f"svc-{(7 * i) % 20:02d}" for i in range(20)]
+    traces = []
+    for t in range(18):
+        kids = [Span(service=name, operation="op",
+                     start=(t * 1000 + 500 - 10 * i) * US,
+                     end=(t * 1000 + 600) * US)
+                for i, name in enumerate(names)]
+        root = Span(service="fe", operation=f"op{t}",
+                    start=t * 1000 * US, end=(t * 1000 + 900) * US,
+                    children=kids)
+        traces.append(Trace(operation=f"op{t}", root=root, user=t))
+    back = round_trip(traces)
+    assert [t.operation for t in back] == [f"op{t}" for t in range(18)]
+    for trace in back:
+        assert [c.service for c in trace.root.children] == names
 
 
-def test_import_accepts_legacy_v1_bare_array():
-    payload = traces_to_json([make_trace()])
-    legacy = json.dumps(json.loads(payload)["spans"])
-    restored = traces_from_json(legacy)
-    assert len(restored) == 1
-    assert restored[0].operation == "get"
-
-
-def test_import_rejects_unknown_schema_version():
-    with pytest.raises(ValueError):
-        traces_from_json(json.dumps({"schemaVersion": 99, "spans": []}))
+def test_times_round_to_the_microsecond():
+    """Timing attributes are exported in whole microseconds and span
+    bounds in whole nanoseconds; import returns exactly those."""
+    leaf = Span(service="store", operation="op",
+                start=1.0000004444, end=1.0012345678,
+                app_time=123.4567e-6, net_time=8.5001e-6,
+                net_process_time=2.4999e-6, block_time=0.4e-6)
+    root = Span(service="fe", operation="op", start=1.0, end=1.002,
+                children=[leaf])
+    back = round_trip([Trace(operation="op", root=root)])[0]
+    span = back.root.children[0]
+    assert span.app_time == 123e-6
+    assert span.net_time == 9e-6
+    assert span.net_process_time == 2e-6
+    assert span.block_time == 0.0
+    assert span.start == 1000000444 / 1e9
+    assert span.end == 1001234568 / 1e9
 
 
 def test_retry_count_and_status_round_trip():
@@ -79,7 +84,7 @@ def test_retry_count_and_status_round_trip():
     root = Span(service="web", operation="get", start=0.0, end=2.0,
                 app_time=0.5, retries=1, children=[child])
     trace = Trace(operation="get", root=root, user=9)
-    restored = traces_from_json(traces_to_json([trace]))[0]
+    restored = round_trip([trace])[0]
     back_root = restored.root
     assert back_root.retries == 1
     assert back_root.status == "ok"
@@ -92,7 +97,7 @@ def test_real_simulation_traces_round_trip():
     result = simulate(build_app("banking"), qps=20, duration=4.0,
                       n_machines=3, seed=41)
     traces = list(islice(result.collector.traces, 20))
-    restored = traces_from_json(traces_to_json(traces))
+    restored = round_trip(traces)
     assert len(restored) == 20
     for orig, back in zip(traces, restored):
         assert back.latency == pytest.approx(orig.latency, abs=2e-6)

@@ -1,21 +1,18 @@
-"""Export round-trip regression: schema v2 must be lossless.
+"""Export round-trip regression: the OTLP trace format must be lossless.
 
 The cloner rebuilds applications from exported traces, so export →
-import → re-export must be byte-identical for *both* wire formats
-(the native Zipkin-v2-style JSON and OTLP), including the fields a
-naive exporter drops: retries, non-ok status, and annotations.  A
-field that survives import but re-exports differently would silently
-skew every clone built from a file instead of a live collector.
+import → re-export must be byte-identical, including the fields a
+naive exporter drops: the trace's user, retries, non-ok status, child
+order, and annotations.  A field that survives import but re-exports
+differently would silently skew every clone built from a file instead
+of a live collector.
 """
-
-import json
 
 import pytest
 
 from repro.apps import build_app
 from repro.core.experiment import simulate
 from repro.obs import otlp_json_to_traces, traces_to_otlp_json
-from repro.tracing import traces_from_json, traces_to_json
 from repro.tracing.span import Span, Trace
 
 US = 1e-6
@@ -51,36 +48,6 @@ def simulated_traces():
     return list(result.collector.traces)
 
 
-class TestZipkinRoundTrip:
-    def test_envelope_declares_schema_v2(self):
-        payload = json.loads(traces_to_json(_decorated_traces()))
-        assert payload["schemaVersion"] == 2
-
-    def test_simulated_run_roundtrips_byte_identical(
-            self, simulated_traces):
-        first = traces_to_json(simulated_traces)
-        second = traces_to_json(traces_from_json(first))
-        assert first == second
-
-    def test_decorated_spans_roundtrip_byte_identical(self):
-        first = traces_to_json(_decorated_traces())
-        second = traces_to_json(traces_from_json(first))
-        assert first == second
-
-    def test_fields_survive_import(self):
-        back = traces_from_json(traces_to_json(_decorated_traces()))
-        worst = back[3]
-        assert worst.user == 20
-        assert worst.root.annotations == {
-            "home_region": "us-east", "hop_count": 3, "lag_s": 0.75}
-        leaf = worst.root.children[0].children[0]
-        assert leaf.status == "timeout"
-        assert leaf.retries == 0
-        assert back[2].root.children[0].children[0].retries == 2
-        assert leaf.net_process_time == pytest.approx(12e-6)
-        assert leaf.block_time == pytest.approx(7e-6)
-
-
 class TestOtlpRoundTrip:
     def test_simulated_run_roundtrips_byte_identical(
             self, simulated_traces):
@@ -104,26 +71,17 @@ class TestOtlpRoundTrip:
         assert back[0].root.children[0].annotations["stale_read"] \
             is False
 
-    def test_formats_agree_after_crossing(self, simulated_traces):
-        """Zipkin-exported traces re-imported then OTLP-exported must
-        match a direct OTLP export up to the Zipkin format's
-        microsecond timestamp quantization: same spans, same
-        attributes, timestamps within 1us."""
-        direct = json.loads(traces_to_otlp_json(simulated_traces))
-        crossed = json.loads(traces_to_otlp_json(
-            traces_from_json(traces_to_json(simulated_traces))))
-
-        def flat(payload):
-            for rs in payload["resourceSpans"]:
-                for ss in rs["scopeSpans"]:
-                    yield from ss["spans"]
-
-        pairs = list(zip(flat(direct), flat(crossed)))
-        assert len(pairs) > 1000
-        for a, b in pairs:
-            assert a["spanId"] == b["spanId"]
-            assert a["name"] == b["name"]
-            assert a["attributes"] == b["attributes"]
-            for key in ("startTimeUnixNano", "endTimeUnixNano"):
-                assert abs(int(a[key]) - int(b[key])) <= 1000, \
-                    (a["spanId"], key)
+    def test_fields_survive_import(self):
+        back = otlp_json_to_traces(
+            traces_to_otlp_json(_decorated_traces()))
+        worst = back[3]
+        assert [t.user for t in back] == [17, 18, 19, 20]
+        assert worst.root.annotations == {
+            "home_region": "us-east", "hop_count": 3, "lag_s": 0.75}
+        leaf = worst.root.children[0].children[0]
+        assert leaf.status == "timeout"
+        assert leaf.retries == 0
+        assert back[0].root.children[0].children[0].status == "ok"
+        assert back[2].root.children[0].children[0].retries == 2
+        assert leaf.net_process_time == pytest.approx(12e-6)
+        assert leaf.block_time == pytest.approx(7e-6)

@@ -131,10 +131,10 @@ def test_collector_latency_override():
 
 
 def test_export_round_trips_status_and_retries():
-    from repro.tracing.export import traces_from_json, traces_to_json
+    from repro.obs import otlp_json_to_traces, traces_to_otlp_json
     original = [make_trace(), make_failed_trace(status="deadline",
                                                 retries=1)]
-    rebuilt = traces_from_json(traces_to_json(original))
+    rebuilt = otlp_json_to_traces(traces_to_otlp_json(original))
     assert rebuilt[0].status == "ok"
     assert rebuilt[1].status == "deadline"
     assert rebuilt[1].root.retries == 1
