@@ -8,9 +8,11 @@ The first three digests were recorded before the NIC and
 processor-sharing fast paths landed.  The rest pin the run-assembly
 paths (the region harness, utilization monitors and autoscaler, and
 the CLI's provisioning and fault setup) and were recorded before those
-paths were merged.  If one changes, the change reordered simulated
-events or moved an observer, and the fix belongs in the code, not in
-the digest.
+paths were merged.  The two OTLP digests pin the exact bytes of the
+trace export and were recorded before the exporter became a one-pass
+text writer.  If a digest changes, the change reordered simulated
+events, moved an observer or altered the export encoding, and the fix
+belongs in the code, not in the digest.
 """
 
 import hashlib
@@ -23,13 +25,15 @@ from repro.cli import main
 from repro.cluster import Cluster, UtilizationAutoscaler
 from repro.core import Deployment
 from repro.core.experiment import run_experiment, simulate
-from repro.core.provisioning import balanced_provision
-from repro.obs import to_prometheus_text
+from repro.core.provisioning import balanced_provision, provision_for_load
+from repro.obs import to_prometheus_text, traces_to_otlp_json
 from repro.region import RegionOutage, run_region_scenario, two_region_topology
-from repro.resilience import ResiliencePolicy
+from repro.resilience import ResiliencePolicy, arm_degradation
 from repro.services import Application, CallNode, Operation, seq
 from repro.services.datastores import memcached, nginx
 from repro.sim import Environment
+from repro.sim.rng import RandomStreams
+from repro.workload.users import UserPopulation
 
 
 def fingerprint(result) -> str:
@@ -176,3 +180,52 @@ def test_report_degradation_json_fingerprint(capsys):
     assert json.loads(out)["degradation_events"] > 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "fee616f0a5f106717473b2c0c601e8a375f0432d1f05c404e08db6d302af02e2")
+
+
+def otlp_digest(traces) -> str:
+    """sha256 of the exact OTLP JSON text :func:`traces_to_otlp_json`
+    writes for ``traces``."""
+    return hashlib.sha256(
+        traces_to_otlp_json(traces).encode()).hexdigest()
+
+
+def test_social_network_slice_otlp_fingerprint():
+    app = build_app("social_network")
+    replicas = balanced_provision(app, target_qps=120.0)
+    result = simulate(app, qps=80.0, duration=6.0, n_machines=6,
+                      replicas=replicas, seed=11)
+    assert otlp_digest(result.collector.traces) == (
+        "073e24d0ae8c636459a031a054836b5ac6e010bc4251b7d57b62dc18dcccb424")
+
+
+def test_degraded_retried_run_otlp_fingerprint():
+    # The `report degradation --slow mongo-timeline:6` scenario under a
+    # tight per-attempt timeout with one retry and a Zipf user
+    # population: spans carry timeout statuses, retry counts, user ids
+    # and str/bool/float annotations.  A few roots also get annotations
+    # no simulator layer writes today (non-finite and extreme floats,
+    # ints, non-ASCII keys and values) so the pin covers every branch
+    # of the attribute encoding.
+    app = build_app("social_network")
+    manager, shedder = arm_degradation(app, qps=120.0)
+    policy = ResiliencePolicy(rpc_timeout=0.01, max_retries=1)
+    result = simulate(
+        app, qps=120.0, duration=3.0, n_machines=6,
+        replicas=provision_for_load(app, 120.0), seed=23,
+        default_policy=policy, shedder=shedder, degradation=manager,
+        setup=lambda d: d.slow_down_service("mongo-timeline", 6.0),
+        users=UserPopulation(1000, 1.1, RandomStreams(4)))
+    traces = list(result.collector.traces)
+    spans = [span for trace in traces for span in trace.root.walk()]
+    assert {"ok", "timeout"} <= {span.status for span in spans}
+    assert any(span.retries for span in spans)
+    assert all(trace.user is not None for trace in traces)
+    kinds = {type(value) for span in spans
+             for value in span.annotations.values()}
+    assert {str, bool, float} <= kinds
+    extras = [float("nan"), float("inf"), -float("inf"), 1e300, -0.0,
+              2 ** 70, "café \"q\" \\ \n\t\x01", "\U0001f600"]
+    for i, trace in enumerate(traces[::50]):
+        trace.root.annotations[f"extraµ{i}"] = extras[i % len(extras)]
+    assert otlp_digest(traces) == (
+        "4aa1fa3cbe37be1ad9bd9aa26cd98be0c4ff729c2dd97ab28be6d7839842ea6e")
