@@ -8,7 +8,11 @@ differently would silently skew every clone built from a file instead
 of a live collector.
 """
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import build_app
 from repro.core.experiment import simulate
@@ -85,3 +89,83 @@ class TestOtlpRoundTrip:
         assert back[2].root.children[0].children[0].retries == 2
         assert leaf.net_process_time == pytest.approx(12e-6)
         assert leaf.block_time == pytest.approx(7e-6)
+
+
+#: Annotation keys the importer would read back as core span fields.
+_CORE_KEYS = {"status", "retry_count", "app_time_us", "net_time_us",
+              "net_process_time_us", "block_time_us", "user"}
+
+# Names mix ASCII, control characters, quotes, backslashes and
+# non-BMP text, all of which JSON must escape.
+_names = st.text(st.one_of(st.characters(max_codepoint=0x7f),
+                           st.characters(min_codepoint=0x80)),
+                 max_size=6)
+_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300,
+                     -0.0, 5e-324]))
+_values = st.one_of(_floats, st.booleans(),
+                    st.integers(-2 ** 70, 2 ** 70), _names)
+_annotations = st.dictionaries(
+    _names.filter(lambda key: key not in _CORE_KEYS), _values,
+    max_size=3)
+_seconds = st.floats(0.0, 1e5)
+_durations = st.floats(0.0, 10.0)
+
+
+@st.composite
+def _span_trees(draw):
+    """A trace whose tree links each span to an earlier one."""
+    size = draw(st.integers(1, 6))
+    spans = []
+    for i in range(size):
+        span = Span(
+            service=draw(_names), operation=draw(_names),
+            start=draw(_seconds), end=draw(_seconds),
+            app_time=draw(_durations), net_time=draw(_durations),
+            net_process_time=draw(_durations),
+            block_time=draw(_durations),
+            status=draw(st.one_of(st.sampled_from(
+                ["ok", "timeout", "error", "deadline"]), _names)),
+            retries=draw(st.integers(0, 5)),
+            annotations=draw(_annotations))
+        if spans:
+            spans[draw(st.integers(0, i - 1))].children.append(span)
+        spans.append(span)
+    user = draw(st.one_of(st.none(), st.integers(0, 2 ** 40)))
+    return Trace(operation=spans[0].operation, root=spans[0], user=user)
+
+
+def _typed(annotations):
+    return sorted((key, type(value), repr(value))
+                  for key, value in annotations.items())
+
+
+class TestOtlpTextFormat:
+    """The exporter writes JSON text itself; its output must be exactly
+    what ``json.dumps`` writes for the same document."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_span_trees(), max_size=4))
+    def test_text_is_the_json_dumps_fixed_point(self, traces):
+        out = traces_to_otlp_json(traces)
+        assert json.dumps(json.loads(out)) == out
+        back = otlp_json_to_traces(out)
+        assert traces_to_otlp_json(back) == out
+        assert len(back) == len(traces)
+        for trace, rebuilt in zip(traces, back):
+            assert rebuilt.user == trace.user
+            spans = trace.spans()
+            assert len(rebuilt.spans()) == len(spans)
+            for span, again in zip(spans, rebuilt.spans()):
+                assert (again.service, again.operation, again.status,
+                        again.retries) == (span.service, span.operation,
+                                           span.status, span.retries)
+                # repr: NaN compares unequal to itself.
+                assert _typed(again.annotations) == \
+                    _typed(span.annotations)
+        assert traces_to_otlp_json(traces, indent=2) == json.dumps(
+            json.loads(out), indent=2)
+
+    def test_empty_export(self):
+        assert traces_to_otlp_json([]) == '{"resourceSpans": []}'
