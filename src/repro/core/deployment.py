@@ -671,8 +671,10 @@ class Deployment:
                                inst=inst),
                 name=f"rpc.{service}")
             if policy.rpc_timeout is not None:
-                yield self.env.any_of(
-                    [attempt, self.env.timeout(policy.rpc_timeout)])
+                timer = self.env.timeout(policy.rpc_timeout)
+                yield self.env.any_of([attempt, timer])
+                if attempt.triggered:
+                    timer.cancel()
             else:
                 yield attempt
             if attempt.triggered:

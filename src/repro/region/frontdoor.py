@@ -193,6 +193,8 @@ class FrontDoor:
             # A probe still in flight past the timeout (stalled on a
             # partition) is a failure; it finishes harmlessly later.
             ok = probe.processed and bool(probe.value)
+            if probe.processed:
+                timeout.cancel()
             self._record_probe(population, region, ok)
 
     def _record_probe(self, population: str, region: str,

@@ -13,10 +13,15 @@ Design notes
   resolved by C-level tuple comparison; the unique, monotonically
   increasing ``seq`` both breaks time ties deterministically and counts
   every event ever scheduled (:attr:`Environment.events_scheduled`).
-  Components that need cancellation (e.g. the processor-sharing server in
-  :mod:`repro.sim.ps`) implement it with generation counters on their own
-  callbacks rather than engine-level tombstones, which keeps the hot loop
-  branch-free.
+* A timer that lost a race is withdrawn with :meth:`Timeout.cancel`: its
+  callbacks become an empty tuple, so the hot loop pops it like any
+  other entry, runs nothing and stays branch-free, and the waiters it
+  held (an ``AnyOf`` and, through it, the finished attempt) are
+  released at once.  Once more than 100 entries and more than half the
+  heap are cancelled, the heap is compacted in place, as asyncio's
+  event loop does with its cancelled timer handles.  Other components
+  that need cancellation (e.g. the processor-sharing server in
+  :mod:`repro.sim.ps`) use generation counters on their own callbacks.
 * :meth:`Environment.call_soon` queues a same-instant callback beside
   the heap, in the place a ``succeed()``-ed event would take in the
   ``(time, seq)`` order, without taking a heap entry or a sequence
@@ -128,6 +133,14 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
+#: The callbacks of a cancelled :class:`Timeout`.
+_CANCELLED = ()
+
+#: Compact the heap once more than this many entries are cancelled
+#: (and they are more than half of it).
+_MIN_CANCELLED_TO_COMPACT = 100
+
+
 class Timeout(Event):
     """An event that triggers ``delay`` time units after creation."""
 
@@ -146,6 +159,29 @@ class Timeout(Event):
         seq = env._seq
         env._seq = seq + 1
         heapq.heappush(env._heap, [env.now + delay, seq, self])
+
+    def cancel(self) -> None:
+        """Withdraw a timer whose waiters no longer need it, such as the
+        losing side of an ``any_of`` race that has already fired.
+
+        Its callbacks are dropped and it fires as a no-op (it stays
+        counted in :attr:`Environment.events_scheduled`); no process
+        may wait on it afterwards.  Cancelling a timer that already
+        fired, or twice, does nothing."""
+        if self._processed or self.callbacks is _CANCELLED:
+            return
+        self.callbacks = _CANCELLED
+        env = self.env
+        env._cancelled += 1
+        heap = env._heap
+        if (env._cancelled > _MIN_CANCELLED_TO_COMPACT
+                and env._cancelled * 2 > len(heap)):
+            # In place: run() holds a local reference to the list.
+            # Keys (time, seq) are unique, so pop order is unchanged.
+            heap[:] = [entry for entry in heap
+                       if entry[2].callbacks is not _CANCELLED]
+            heapq.heapify(heap)
+            env._cancelled = 0
 
 
 class Process(Event):
@@ -312,6 +348,9 @@ class Environment:
         # call_soon() queue of (seq, callback), all due at ``now``.
         self._soon: Deque[tuple] = deque()
         self._crash: Optional[BaseException] = None
+        # Timers cancelled since the heap was last compacted (some may
+        # have fired since; the count only paces compaction).
+        self._cancelled = 0
         self.step_hook: Optional[Callable[[Event], None]] = None
 
     @property

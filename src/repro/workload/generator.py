@@ -120,7 +120,9 @@ class OpenLoopGenerator:
         timer = self.env.timeout(self.hedge_after)
         yield self.env.any_of([primary, timer])
         winner = primary
-        if not primary.processed:
+        if primary.processed:
+            timer.cancel()
+        else:
             self.hedges_issued += 1
             backup = self.deployment.execute(op, user=user, collect=False)
             yield self.env.any_of([primary, backup])

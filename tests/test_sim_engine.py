@@ -1,6 +1,8 @@
 """Unit tests for the DES engine: events, processes, composition."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment, SimulationError
 
@@ -251,3 +253,72 @@ def test_call_soon_keeps_succeed_order():
     env.run()
     assert order == [("due before", 1.0), ("soon", 1.0),
                      ("due after", 1.0), ("soon 2", 1.0)]
+
+
+def test_cancelled_timer_fires_as_a_no_op():
+    env = Environment()
+    fired = []
+    timer = env.timeout(1.0)
+    timer.callbacks.append(fired.append)
+    timer.cancel()
+    timer.cancel()  # twice is harmless
+    env.run()
+    assert fired == [] and env.now == 1.0
+    timer.cancel()  # after it fired: nothing to withdraw
+    assert env.events_scheduled == 1
+
+
+def test_cancellations_compact_the_heap_in_place():
+    env = Environment()
+    heap = env._heap
+    timers = [env.timeout(10.0 + i) for i in range(150)]
+    keep = env.timeout(5.0)
+    for timer in timers[:100]:
+        timer.cancel()
+    assert len(heap) == 151  # 100 cancelled: not yet over the floor
+    timers[100].cancel()
+    assert env._heap is heap and len(heap) == 50
+    assert all(entry[2] is keep or entry[2] in timers[101:]
+               for entry in heap)
+    assert env.events_scheduled == 151
+
+
+def _race_log(delays, races, cancel):
+    """Every callback of a schedule of plain timers and of processes
+    that each race a timer they outrun; ``cancel`` withdraws the
+    losing timers once their race is decided."""
+    env = Environment()
+    log = []
+    for i, delay in enumerate(delays):
+        env.timeout(delay).callbacks.append(
+            lambda ev, i=i: log.append((env.now, "timer", i)))
+
+    def racer(i, win, lose):
+        timer = env.timeout(lose)
+        yield env.any_of([env.timeout(win), timer])
+        log.append((env.now, "decided", i))
+        if cancel:
+            timer.cancel()
+        yield env.timeout(win)
+        log.append((env.now, "after", i))
+
+    for i, (win, margin) in enumerate(races):
+        env.process(racer(i, win, win + margin))
+    env.run(until=100.0)
+    return log, env.events_scheduled
+
+
+_half_steps = st.integers(0, 20).map(lambda k: k * 0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(delays=st.lists(_half_steps, max_size=40),
+       races=st.lists(st.tuples(_half_steps, _half_steps),
+                      min_size=120, max_size=300))
+def test_cancelling_decided_timers_keeps_every_other_callback_order(
+        delays, races):
+    # Half-second steps make many callbacks tie in time, so the test
+    # also pins same-instant order; a zero margin makes the timer win
+    # its race, and cancelling it afterwards must do nothing.
+    assert _race_log(delays, races, cancel=True) == \
+        _race_log(delays, races, cancel=False)
