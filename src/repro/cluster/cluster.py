@@ -47,14 +47,6 @@ class Cluster:
         """A cluster containing both machine sets (cloud + edge swarm)."""
         return Cluster(self.machines + other.machines)
 
-    def heal(self) -> None:
-        """Restore every machine to full speed and nominal frequency."""
-        for machine in self.machines:
-            machine.set_slow_factor(1.0)
-            machine.freq.uncap()
-            for inst in machine.instances:
-                inst.refresh_rate()
-
     def set_frequency(self, freq_ghz: float) -> None:
         """RAPL-cap every machine (the Fig. 12 sweep)."""
         for machine in self.machines:

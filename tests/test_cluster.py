@@ -97,15 +97,6 @@ def test_homogeneous_cluster_and_zones():
     assert len(merged.zone("cloud")) == 3
 
 
-def test_heal_restores_full_speed():
-    env = Environment()
-    cluster = Cluster.homogeneous(env, XEON, 4)
-    cluster.machines[2].set_slow_factor(0.3)
-    assert cluster.machines[2].slow_factor == 0.3
-    cluster.heal()
-    assert all(m.slow_factor == 1.0 for m in cluster.machines)
-
-
 def test_cluster_set_frequency_applies_everywhere():
     env = Environment()
     cluster = Cluster.homogeneous(env, XEON, 3)
